@@ -3,15 +3,22 @@
 // a pure function of (params, logical processors) — in particular identical
 // across 1/2/4 execution threads for the deterministic parallel modes.
 //
-// When the environment variable TSMO_GOLDEN_OUT names a file, every
-// asserted fingerprint is appended to it ("<key> <hex>"), so CI can upload
-// the values as an artifact and diff them across runs and platforms.
+// Every exported fingerprint is also pinned: it must equal its line in
+// tests/golden/engine_fingerprints.txt, so a change that alters any RNG
+// draw or trace event fails here even when the runs still agree with each
+// other.  When the environment variable TSMO_GOLDEN_OUT names a file, every
+// asserted fingerprint is appended to it ("<key> <hex>").  To regenerate
+// the pinned file after an intended trajectory change:
+//
+//   rm -f /tmp/g.txt && TSMO_GOLDEN_OUT=/tmp/g.txt ./build/tests/test_golden_seed
+//   sort /tmp/g.txt > tests/golden/engine_fingerprints.txt
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +32,7 @@
 #include "parallel/hybrid_tsmo.hpp"
 #include "parallel/multisearch_tsmo.hpp"
 #include "parallel/sync_tsmo.hpp"
+#include "sim/sim_tsmo.hpp"
 #include "util/profiler.hpp"
 #include "vrptw/generator.hpp"
 
@@ -54,11 +62,29 @@ TsmoParams golden_params(std::uint64_t seed) {
   return p;
 }
 
+/// The pinned "<key> <hex>" table, read once.
+const std::map<std::string, std::uint64_t>& pinned() {
+  static const std::map<std::string, std::uint64_t> table = [] {
+    std::map<std::string, std::uint64_t> t;
+    std::ifstream in(TSMO_GOLDEN_FINGERPRINTS);
+    std::string key, hex;
+    while (in >> key >> hex) t[key] = std::stoull(hex, nullptr, 16);
+    return t;
+  }();
+  return table;
+}
+
 void export_fingerprint(const std::string& key, std::uint64_t fp) {
-  const char* path = std::getenv("TSMO_GOLDEN_OUT");
-  if (!path) return;
-  std::ofstream out(path, std::ios::app);
-  out << key << " " << std::hex << fp << std::dec << "\n";
+  if (const char* path = std::getenv("TSMO_GOLDEN_OUT")) {
+    std::ofstream out(path, std::ios::app);
+    out << key << " " << std::hex << fp << std::dec << "\n";
+  }
+  const auto it = pinned().find(key);
+  if (it == pinned().end()) {
+    ADD_FAILURE() << key << " is not pinned in " TSMO_GOLDEN_FINGERPRINTS;
+    return;
+  }
+  EXPECT_EQ(fp, it->second) << key << " drifted from its pinned value";
 }
 
 /// Asserts that all runs of one configuration agree on both fingerprints
@@ -498,6 +524,33 @@ TEST_F(GoldenSeedTest, ProfilerAndIntrospectOnOffFingerprintsIdentical) {
     expect_identical(runs, "hybrid-det.profiled.seed" + std::to_string(seed));
   }
   prof::stop();  // disarm so later suites see the default state
+}
+
+/// The five virtual-clock drivers replay exactly and are pinned too, in
+/// uniform and in pruned sampling mode.
+TEST_F(GoldenSeedTest, SimDriversReplayExactly) {
+  const CostModel cost = CostModel::for_instance(inst_);
+  for (std::uint64_t seed : kSeeds) {
+    for (int k : {0, 16}) {
+      TsmoParams p = golden_params(seed);
+      p.candidate_k = k;
+      const std::string suffix =
+          (k > 0 ? ".pruned.seed" : ".seed") + std::to_string(seed);
+      std::vector<RunResult> seq, sync, async, coll, hybrid;
+      for (int rep = 0; rep < 2; ++rep) {
+        seq.push_back(run_sim_sequential(inst_, p, cost));
+        sync.push_back(run_sim_sync(inst_, p, 4, cost));
+        async.push_back(run_sim_async(inst_, p, 4, cost));
+        coll.push_back(run_sim_multisearch(inst_, p, 3, cost).merged);
+        hybrid.push_back(run_sim_hybrid(inst_, p, 2, 2, cost).merged);
+      }
+      expect_identical(seq, "sim-sequential" + suffix);
+      expect_identical(sync, "sim-sync" + suffix);
+      expect_identical(async, "sim-async" + suffix);
+      expect_identical(coll, "sim-coll" + suffix);
+      expect_identical(hybrid, "sim-hybrid" + suffix);
+    }
+  }
 }
 
 /// Different seeds must not collide — otherwise the fingerprint could not
