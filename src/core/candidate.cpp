@@ -2,6 +2,29 @@
 
 namespace tsmo {
 
+NeighborhoodGenerator make_generator(const MoveEngine& engine,
+                                     const TsmoParams& params) {
+  return NeighborhoodGenerator(engine, params.operator_weights,
+                               params.feasibility_screen,
+                               params.batch_pricing);
+}
+
+ChunkGenerator::ChunkGenerator(const Instance& inst, const TsmoParams& params,
+                               const CandidateList* cands)
+    : engine_(std::make_unique<MoveEngine>(inst)),
+      generator_(make_generator(*engine_, params)) {
+  if (cands != nullptr) engine_->set_candidate_list(cands);
+}
+
+std::vector<Candidate> ChunkGenerator::operator()(
+    std::shared_ptr<const Solution> base, int count, Rng& rng,
+    int origin) const {
+  std::vector<Candidate> out =
+      make_candidates(generator_, std::move(base), count, rng);
+  for (Candidate& c : out) c.origin = static_cast<std::int16_t>(origin);
+  return out;
+}
+
 std::vector<Candidate> make_candidates(
     const NeighborhoodGenerator& generator,
     std::shared_ptr<const Solution> base, int count, Rng& rng) {

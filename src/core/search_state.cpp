@@ -17,8 +17,7 @@ SearchState::SearchState(const Instance& inst, const TsmoParams& params,
       cands_(cands ? std::move(cands)
                    : make_candidate_list(inst, params.candidate_k)),
       engine_(inst),
-      generator_(engine_, params.operator_weights,
-                 params.feasibility_screen, params.batch_pricing),
+      generator_(make_generator(engine_, params)),
       tabu_(static_cast<std::size_t>(std::max(params.tabu_tenure, 0))),
       nondom_(static_cast<std::size_t>(std::max(params.nondom_capacity, 1))),
       archive_(static_cast<std::size_t>(std::max(params.archive_capacity, 2))),

@@ -11,7 +11,9 @@
 // the benchmarks measures the parallelization strategy, not divergent
 // reimplementations.
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -78,6 +80,13 @@ class SearchState {
   /// Generates an evaluated candidate set of `count` neighbors of the
   /// current solution (one evaluation each).
   std::vector<Candidate> generate_candidates(int count);
+  /// Same, appended to `pool`; returns how many were generated.
+  std::size_t generate_into(std::vector<Candidate>& pool, int count) {
+    std::vector<Candidate> fresh = generate_candidates(count);
+    pool.insert(pool.end(), std::make_move_iterator(fresh.begin()),
+                std::make_move_iterator(fresh.end()));
+    return fresh.size();
+  }
 
   struct StepOutcome {
     /// Index into the candidate vector of the accepted move, when one was
@@ -105,6 +114,18 @@ class SearchState {
   /// External evaluation work (e.g. by workers on this searcher's behalf)
   /// is charged here so the budget check sees the global count.
   void charge_evaluations(std::int64_t n) noexcept { evaluations_ += n; }
+  /// Charges a chunk generated on this searcher's behalf and moves it
+  /// into `pool`.
+  void absorb(std::vector<Candidate>& pool, std::vector<Candidate>& chunk) {
+    charge_evaluations(static_cast<std::int64_t>(chunk.size()));
+    pool.insert(pool.end(), std::make_move_iterator(chunk.begin()),
+                std::make_move_iterator(chunk.end()));
+  }
+  /// Neighbors the evaluation budget still allows, capped at `cap`.
+  int budget_left(int cap) const noexcept {
+    return static_cast<int>(std::min<std::int64_t>(
+        cap, params_.max_evaluations - evaluations_));
+  }
   /// True when the evaluation budget is spent *or* a cooperative stop was
   /// requested — either the process-wide flag (solver_cli's SIGINT/SIGTERM
   /// path) or this run's own TsmoParams::stop (job-plane cancellation):

@@ -57,10 +57,7 @@ RunResult SequentialTsmo::run(const IterationObserver& observer) const {
   state.initialize();
 
   while (!state.budget_exhausted()) {
-    const std::int64_t remaining =
-        params_.max_evaluations - state.evaluations();
-    const int want = static_cast<int>(std::min<std::int64_t>(
-        params_.neighborhood_size, remaining));
+    const int want = state.budget_left(params_.neighborhood_size);
     if (want <= 0) break;
     const std::vector<Candidate> candidates =
         state.generate_candidates(want);

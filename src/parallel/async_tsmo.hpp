@@ -69,8 +69,6 @@ class AsyncTsmo {
   RunResult run() const;
 
  private:
-  RunResult run_deterministic() const;
-
   const Instance* inst_;
   TsmoParams params_;
   int processors_;

@@ -54,11 +54,7 @@ class Channel {
   /// Non-blocking pop.
   std::optional<T> try_pop() {
     std::lock_guard lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    note_depth(queue_.size());
-    return item;
+    return take();
   }
 
   /// Blocks until an item arrives or the channel is closed and drained.
@@ -67,11 +63,7 @@ class Channel {
     const std::uint64_t wait_start = wait_begin();
     cv_.wait(lock, [this] { return !queue_.empty() || closed_; });
     wait_end(wait_start);
-    if (queue_.empty()) return std::nullopt;
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    note_depth(queue_.size());
-    return item;
+    return take();
   }
 
   /// Blocks up to `timeout`; nullopt on timeout or closed-and-drained.
@@ -82,11 +74,7 @@ class Channel {
     cv_.wait_for(lock, timeout,
                  [this] { return !queue_.empty() || closed_; });
     wait_end(wait_start);
-    if (queue_.empty()) return std::nullopt;
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    note_depth(queue_.size());
-    return item;
+    return take();
   }
 
   void close() {
@@ -110,6 +98,15 @@ class Channel {
   bool empty() const { return size() == 0; }
 
  private:
+  // Called with mutex_ held.
+  std::optional<T> take() {
+    if (queue_.empty()) return std::nullopt;
+    T item = std::move(queue_.front());
+    queue_.pop_front();
+    note_depth(queue_.size());
+    return item;
+  }
+
 #if TSMO_TELEMETRY_ENABLED
   // Called with mutex_ held, so gauge updates are ordered per channel.
   void note_depth(std::size_t depth) noexcept {

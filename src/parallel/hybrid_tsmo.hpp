@@ -61,8 +61,6 @@ class HybridTsmo {
   MultisearchResult run() const;
 
  private:
-  MultisearchResult run_deterministic() const;
-
   const Instance* inst_;
   TsmoParams params_;
   int islands_;

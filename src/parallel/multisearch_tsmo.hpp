@@ -66,8 +66,6 @@ class MultisearchTsmo {
   MultisearchResult run() const;
 
  private:
-  MultisearchResult run_deterministic() const;
-
   const Instance* inst_;
   TsmoParams params_;
   int processors_;

@@ -52,8 +52,6 @@ class SyncTsmo {
   RunResult run() const;
 
  private:
-  RunResult run_deterministic() const;
-
   const Instance* inst_;
   TsmoParams params_;
   int processors_;

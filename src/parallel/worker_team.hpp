@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/candidate.hpp"
+#include "core/params.hpp"
 #include "parallel/channel.hpp"
 #include "util/telemetry.hpp"
 #include "vrptw/candidate_list.hpp"
@@ -44,16 +45,16 @@ struct GenResult {
 
 class WorkerTeam {
  public:
-  /// Spawns `num_workers` threads; RNG streams are derived from `seed` by
-  /// repeated jumps, so results are deterministic per (seed, num_workers)
-  /// up to arrival order.  `cands` (optional) switches every worker's
-  /// engine to candidate-list pruned sampling; the immutable list is
-  /// shared read-only across the team and with the master's SearchState.
-  /// `batch_pricing` selects the workers' pricing mode (bitwise-identical
-  /// results either way).
-  WorkerTeam(const Instance& inst, int num_workers, std::uint64_t seed,
-             std::shared_ptr<const CandidateList> cands = nullptr,
-             bool batch_pricing = true);
+  /// Spawns `num_workers` threads generating on behalf of the searcher
+  /// that `params` configures: every worker builds its generator with
+  /// make_generator (the searcher's operator weights, screen and pricing
+  /// mode), and the RNG streams are derived from params.seed by repeated
+  /// jumps, so results are deterministic per (seed, num_workers) up to
+  /// arrival order.  `cands` (optional) switches every worker's engine to
+  /// candidate-list pruned sampling; the immutable list is shared
+  /// read-only across the team and with the master's SearchState.
+  WorkerTeam(const Instance& inst, int num_workers, const TsmoParams& params,
+             std::shared_ptr<const CandidateList> cands = nullptr);
 
   /// Closes the request channel and joins the workers.
   ~WorkerTeam();
@@ -90,12 +91,16 @@ class WorkerTeam {
   /// outstanding; otherwise it would block until destruction).
   std::optional<GenResult> collect() { return results_.pop(); }
 
+  /// Blocks for `n` outstanding results and returns them in ticket order,
+  /// independent of which worker finished first.
+  std::vector<GenResult> collect_in_order(int n);
+
  private:
   void worker_loop(int id, Rng rng);
 
   const Instance* inst_;
+  TsmoParams params_;
   std::shared_ptr<const CandidateList> cands_;  ///< outlives the workers
-  bool batch_pricing_ = true;
   /// The spawning thread's ambient trace context, captured before the
   /// worker threads start so each worker_loop can re-establish it — worker
   /// spans then parent under the engine's run span (DESIGN.md §13).

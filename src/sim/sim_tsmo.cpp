@@ -1,13 +1,14 @@
 #include "sim/sim_tsmo.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/sequential_tsmo.hpp"
 #include "obs/flight_recorder.hpp"
+#include "parallel/collab.hpp"
 #include "sim/des.hpp"
 #include "util/telemetry.hpp"
 
@@ -22,16 +23,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// becomes visible to the master at that time.
 class SimWorker {
  public:
-  SimWorker(const Instance& inst, int id, Rng rng,
-            std::shared_ptr<const CandidateList> cands = nullptr,
-            bool batch_pricing = true)
-      : engine_(std::make_unique<MoveEngine>(inst)),
-        cands_(std::move(cands)),
-        batch_pricing_(batch_pricing),
-        rng_(rng),
-        id_(id) {
-    if (cands_) engine_->set_candidate_list(cands_.get());
-  }
+  /// `cands` must outlive the worker.
+  SimWorker(const Instance& inst, int id, Rng rng, const TsmoParams& params,
+            const CandidateList* cands)
+      : generate_(inst, params, cands), rng_(rng), id_(id) {}
 
   bool busy() const noexcept { return busy_; }
   double done_time() const noexcept { return done_time_; }
@@ -41,11 +36,7 @@ class SimWorker {
   /// done_time().
   void dispatch(std::shared_ptr<const Solution> base, int count,
                 double start, const CostModel& cost, Rng& noise_rng) {
-    NeighborhoodGenerator generator(*engine_, {1, 1, 1, 1, 1},
-                                    FeasibilityScreen::Local,
-                                    batch_pricing_);
-    result_ = make_candidates(generator, std::move(base), count, rng_);
-    for (Candidate& c : result_) c.origin = static_cast<std::int16_t>(id_);
+    result_ = generate_(std::move(base), count, rng_, id_);
     const double work = static_cast<double>(result_.size()) * cost.eval_us *
                         cost.straggler_noise(noise_rng);
     done_time_ = start + cost.msg_us + work;
@@ -63,9 +54,7 @@ class SimWorker {
   double busy_us() const noexcept { return busy_us_; }
 
  private:
-  std::unique_ptr<MoveEngine> engine_;
-  std::shared_ptr<const CandidateList> cands_;
-  bool batch_pricing_ = true;
+  ChunkGenerator generate_;
   Rng rng_;
   std::vector<Candidate> result_;
   double done_time_ = kInf;
@@ -78,10 +67,10 @@ class SimWorker {
 /// `worker.<id>.busy_ns` / `.idle_ns` gauges the real WorkerTeam maintains,
 /// so table benches (which run on the DES substrate) report per-worker
 /// utilization too.  Virtual µs are scaled to ns; idle = total − busy.
-void export_sim_worker_gauges(const std::vector<SimWorker>& workers,
-                              double total_us) {
-#if TSMO_TELEMETRY_ENABLED
-  if (!telemetry::enabled()) return;
+void export_sim_worker_gauges(
+    [[maybe_unused]] const std::vector<SimWorker>& workers,
+    [[maybe_unused]] double total_us) {
+  TSMO_TELEMETRY_ONLY(if (!telemetry::enabled()) return;
   auto& reg = telemetry::Registry::instance();
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const double busy_us = workers[i].busy_us();
@@ -91,16 +80,35 @@ void export_sim_worker_gauges(const std::vector<SimWorker>& workers,
                   static_cast<std::int64_t>(busy_us * 1e3));
     reg.gauge_add(reg.gauge(prefix + ".idle_ns"),
                   static_cast<std::int64_t>(idle_us * 1e3));
+  })
+}
+
+/// The `procs - 1` generation workers of a simulated master, with the RNG
+/// streams WorkerTeam would derive from params.seed.
+std::vector<SimWorker> make_sim_workers(
+    const Instance& inst, int procs, const TsmoParams& params,
+    const std::shared_ptr<const CandidateList>& cands) {
+  Rng stream_seed(params.seed ^ 0x5eedF00dULL);
+  std::vector<SimWorker> workers;
+  workers.reserve(static_cast<std::size_t>(procs - 1));
+  for (int w = 0; w < procs - 1; ++w) {
+    workers.emplace_back(inst, w, stream_seed.split(), params, cands.get());
   }
-#else
-  (void)workers;
-  (void)total_us;
-#endif
+  return workers;
 }
 
 double selection_cost(std::size_t pool_size, const CostModel& cost) {
   return static_cast<double>(pool_size) * cost.sel_per_cand_us +
          cost.iter_overhead_us;
+}
+
+/// A finished searcher's result with its virtual runtime `t_us`.
+RunResult sim_result(const SearchState& state, const char* algorithm,
+                     double t_us) {
+  RunResult r = collect_result(state, algorithm, 0.0);
+  r.sim_seconds = t_us * 1e-6;
+  r.refresh_throughput();
+  return r;
 }
 
 }  // namespace
@@ -117,20 +125,14 @@ RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
   state.initialize();
   double t = cost.eval_us;  // initial construction
   while (!state.budget_exhausted()) {
-    const std::int64_t remaining =
-        params.max_evaluations - state.evaluations();
-    const int want = static_cast<int>(std::min<std::int64_t>(
-        params.neighborhood_size, remaining));
+    const int want = state.budget_left(params.neighborhood_size);
     if (want <= 0) break;
     const auto candidates = state.generate_candidates(want);
     t += static_cast<double>(candidates.size()) * cost.eval_us;
     t += selection_cost(candidates.size(), cost);
     state.step_with_candidates(candidates);
   }
-  RunResult r = collect_result(state, "sim-sequential", 0.0);
-  r.sim_seconds = t * 1e-6;
-  r.refresh_throughput();
-  return r;
+  return sim_result(state, "sim-sequential", t);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,21 +148,11 @@ RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
   SearchState state(inst, params, Rng(params.seed), cands);
   state.initialize();
   Rng noise(params.seed ^ 0xd015eULL);
-
-  Rng stream_seed(params.seed ^ 0x5eedF00dULL);
-  std::vector<SimWorker> workers;
-  workers.reserve(static_cast<std::size_t>(procs - 1));
-  for (int w = 0; w < procs - 1; ++w) {
-    workers.emplace_back(inst, w, stream_seed.split(), cands,
-                         params.batch_pricing);
-  }
+  std::vector<SimWorker> workers = make_sim_workers(inst, procs, params, cands);
 
   double t = cost.eval_us;  // initial construction
   while (!state.budget_exhausted()) {
-    const std::int64_t remaining =
-        params.max_evaluations - state.evaluations();
-    const int want = static_cast<int>(std::min<std::int64_t>(
-        params.neighborhood_size, remaining));
+    const int want = state.budget_left(params.neighborhood_size);
     if (want <= 0) break;
     const int chunk = want / procs;
 
@@ -194,18 +186,13 @@ RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
       auto part = w.collect();
       barrier += cost.msg_us + static_cast<double>(part.size()) *
                                    cost.transfer_per_cand_us;
-      state.charge_evaluations(static_cast<std::int64_t>(part.size()));
-      pool.insert(pool.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
+      state.absorb(pool, part);
     }
     t = barrier + selection_cost(pool.size(), cost);
     state.step_with_candidates(pool);
   }
   export_sim_worker_gauges(workers, t);
-  RunResult r = collect_result(state, "sim-sync", 0.0);
-  r.sim_seconds = t * 1e-6;
-  r.refresh_throughput();
-  return r;
+  return sim_result(state, "sim-sync", t);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,27 +203,22 @@ namespace {
 
 class AsyncSimCore {
  public:
+  /// `cands` is the run's shared candidate list (null when unpruned).
   AsyncSimCore(const Instance& inst, const TsmoParams& params,
                int processors, const CostModel& cost,
-               SimAsyncOptions options)
-      : params_(params),
-        cost_(cost),
+               SimAsyncOptions options,
+               const std::shared_ptr<const CandidateList>& cands)
+      : cost_(cost),
         options_(std::move(options)),
-        cands_(make_candidate_list(inst, params.candidate_k)),
-        state_(inst, params, Rng(params.seed), cands_),
-        noise_(params.seed ^ 0xa57cULL) {
-    const int procs = std::max(2, processors);
-    chunk_ = std::max(1, params.neighborhood_size / procs);
+        state_(inst, params, Rng(params.seed), cands),
+        noise_(params.seed ^ 0xa57cULL),
+        workers_(make_sim_workers(inst, std::max(2, processors), params,
+                                  cands)) {
+    chunk_ = std::max(1, params.neighborhood_size / std::max(2, processors));
     wait_too_long_us_ = options.wait_too_long_us > 0.0
                             ? options.wait_too_long_us
                             : 0.5 * static_cast<double>(chunk_) *
                                   cost.eval_us;
-    Rng stream_seed(params.seed ^ 0x5eedF00dULL);
-    workers_.reserve(static_cast<std::size_t>(procs - 1));
-    for (int w = 0; w < procs - 1; ++w) {
-      workers_.emplace_back(inst, w, stream_seed.split(), cands_,
-                            params.batch_pricing);
-    }
     if (options_.recorder) {
       state_.set_recorder(options_.recorder, options_.searcher_id);
     }
@@ -259,16 +241,12 @@ class AsyncSimCore {
 
   /// One master macro-iteration starting no earlier than `now`.
   IterResult iterate(double now) {
-    IterResult out;
-    if (done()) {
-      out.end_time = now;
-      return out;
-    }
+    if (done()) return IterResult{now};
     double t = now;
 
     // Dispatch fresh chunks to idle workers while the budget leaves room.
     for (SimWorker& w : workers_) {
-      const std::int64_t headroom = params_.max_evaluations -
+      const std::int64_t headroom = state_.params().max_evaluations -
                                     state_.evaluations() - inflight_;
       if (w.busy() || headroom < chunk_) continue;
       t += cost_.msg_us + cost_.transfer_solution_us;
@@ -278,15 +256,10 @@ class AsyncSimCore {
     }
 
     // Master's own share.
-    const std::int64_t remaining =
-        params_.max_evaluations - state_.evaluations();
-    const int master_chunk =
-        static_cast<int>(std::min<std::int64_t>(chunk_, remaining));
+    const int master_chunk = state_.budget_left(chunk_);
     if (master_chunk > 0) {
-      auto mine = state_.generate_candidates(master_chunk);
-      t += static_cast<double>(mine.size()) * cost_.eval_us;
-      pool_.insert(pool_.end(), std::make_move_iterator(mine.begin()),
-                   std::make_move_iterator(mine.end()));
+      t += static_cast<double>(state_.generate_into(pool_, master_chunk)) *
+           cost_.eval_us;
     }
     t = collect_arrived(t);
 
@@ -312,10 +285,7 @@ class AsyncSimCore {
       t = collect_arrived(next);
     }
 
-    if (pool_.empty() && state_.budget_exhausted()) {
-      out.end_time = t;
-      return out;
-    }
+    if (pool_.empty() && state_.budget_exhausted()) return IterResult{t};
     t += selection_cost(pool_.size(), cost_);
     std::vector<Objectives> pool_objs;
     if (options_.observer) {
@@ -333,10 +303,7 @@ class AsyncSimCore {
       ev.restarted = step.restarted;
       options_.observer(ev);
     }
-    out.end_time = t;
-    out.archive_improved = step.archive_improved;
-    out.progressed = true;
-    return out;
+    return IterResult{t, step.archive_improved, true};
   }
 
  private:
@@ -357,17 +324,13 @@ class AsyncSimCore {
       inflight_ -= chunk_;
       t += cost_.msg_us + static_cast<double>(part.size()) *
                               cost_.transfer_per_cand_us;
-      state_.charge_evaluations(static_cast<std::int64_t>(part.size()));
-      pool_.insert(pool_.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
+      state_.absorb(pool_, part);
     }
     return t;
   }
 
-  TsmoParams params_;
   CostModel cost_;
   SimAsyncOptions options_;
-  std::shared_ptr<const CandidateList> cands_;  ///< init before state_
   SearchState state_;
   Rng noise_;
   std::vector<SimWorker> workers_;
@@ -389,7 +352,8 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
   if (rec) {
     rec->engine_started("sim-async", 1, std::max(2, processors) - 1);
   }
-  AsyncSimCore core(inst, params, processors, cost, std::move(options));
+  AsyncSimCore core(inst, params, processors, cost, std::move(options),
+                    make_candidate_list(inst, params.candidate_k));
   double t = cost.eval_us;  // initial construction
   while (!core.done()) {
     const auto iter = core.iterate(t);
@@ -399,15 +363,145 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
   core.export_worker_gauges(t);
   obs::flight_engine_finish("sim-async", core.state().iterations());
   if (rec) rec->engine_finished(core.state().iterations());
-  RunResult r = collect_result(core.state(), "sim-async", 0.0);
-  r.sim_seconds = t * 1e-6;
-  r.refresh_throughput();
-  return r;
+  return sim_result(core.state(), "sim-async", t);
 }
 
 // ---------------------------------------------------------------------------
-// Collaborative multisearch on the DES
+// Collaborative drivers on the DES: multisearch and the hybrid islands
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// When a node's iteration ends: at `base + rel`; a solution it sends
+/// first adds the send cost to `rel`, then arrives at
+/// `base + (rel + msg_us)`.  Nodes timing relative to now set base = now,
+/// nodes with an absolute end time base = 0, which keeps each driver's
+/// virtual-time arithmetic bit for bit what it always was.
+struct SimNext {
+  double base = 0.0;
+  double rel = 0.0;
+};
+
+/// Runs collaborating nodes — each with `peer`, `mailbox`, `finish_time`,
+/// `state()`, `export_gauges()` and `advance(now, mail_us, improved)`,
+/// which returns nullopt, after setting finish_time, once the node is
+/// done — as one self-rescheduling iteration event each from `start`;
+/// solution messages are delivered with latency (§III.E).
+template <class Node>
+MultisearchResult run_sim_collab(const char* algorithm,
+                                 std::vector<std::unique_ptr<Node>>& nodes,
+                                 double start, const CostModel& cost) {
+  MultisearchResult result;
+  Simulation sim;
+  std::function<void(int)> do_step = [&](int id) {
+    Node& node = *nodes[static_cast<std::size_t>(id)];
+    if (node.state().budget_exhausted()) {
+      node.finish_time = sim.now();
+      return;
+    }
+    double mail_us = 0.0;
+    for (const Solution& incoming : node.mailbox) {
+      mail_us += cost.msg_us;  // reception handling
+      if (node.state().receive(incoming)) ++result.messages_accepted;
+    }
+    node.mailbox.clear();
+    bool improved = false;
+    std::optional<SimNext> next = node.advance(sim.now(), mail_us, improved);
+    if (!next) return;
+    const int target = node.peer.send_target(node.state(), improved);
+    if (target >= 0) {
+      next->rel += cost.msg_us + cost.transfer_solution_us;
+      ++result.messages_sent;
+      sim.schedule_at(next->base + (next->rel + cost.msg_us),
+                      [&nodes, target, payload = *node.state().current()] {
+                        nodes[static_cast<std::size_t>(target)]
+                            ->mailbox.push_back(payload);
+                      });
+    }
+    sim.schedule_at(next->base + next->rel, [&, id] { do_step(id); });
+  };
+  for (int id = 0; id < static_cast<int>(nodes.size()); ++id) {
+    sim.schedule_at(start, [&, id] { do_step(id); });
+  }
+  sim.run();
+  for (auto& node : nodes) {
+    node->export_gauges();
+    result.per_searcher.push_back(
+        sim_result(node->state(), algorithm, node->finish_time));
+  }
+  result.merged = merge_results(result.per_searcher, algorithm);
+  return result;
+}
+
+/// A node's side of the collaboration: protocol, inbox, finish time.
+struct SimPeer {
+  CollabPeer peer;
+  std::vector<Solution> mailbox{};
+  double finish_time = 0.0;
+};
+
+/// A multisearch searcher: one sequential TSMO iteration per event,
+/// slowed by its peers' contention.
+struct SimSearcher : SimPeer {
+  SimSearcher(const Instance& inst, const TsmoParams& params, int id,
+              int procs, const CostModel& cost,
+              const std::shared_ptr<const CandidateList>& cands)
+      : SimPeer{CollabPeer(params, id, procs, 0x51ed2701ULL)},
+        search(inst, peer.params(), Rng(peer.params().seed), cands),
+        cost(&cost),
+        contention(cost.contention_factor(procs)) {
+    search.initialize();
+  }
+
+  SearchState& state() { return search; }
+  void export_gauges() const {}
+
+  std::optional<SimNext> advance(double now, double dt, bool& improved) {
+    const int want = search.budget_left(peer.params().neighborhood_size);
+    if (want <= 0) {
+      finish_time = now;
+      return std::nullopt;
+    }
+    const auto candidates = search.generate_candidates(want);
+    improved = search.step_with_candidates(candidates).archive_improved;
+    dt += static_cast<double>(candidates.size()) * cost->eval_us;
+    dt += selection_cost(candidates.size(), *cost);
+    return SimNext{now, dt * contention};
+  }
+
+  SearchState search;
+  const CostModel* cost;
+  double contention;
+};
+
+/// A hybrid island: an asynchronous master-worker group whose iterations
+/// stretch by the islands' contention.
+struct SimIsland : SimPeer {
+  SimIsland(const Instance& inst, const TsmoParams& params, int id, int k,
+            int procs, const CostModel& cost,
+            const std::shared_ptr<const CandidateList>& cands)
+      : SimPeer{CollabPeer(params, id, k, 0x9d2c5680ULL)},
+        core(inst, peer.params(), procs, cost, SimAsyncOptions{}, cands),
+        contention(cost.contention_factor(k)) {}
+
+  SearchState& state() { return core.state(); }
+  void export_gauges() const { core.export_worker_gauges(finish_time); }
+
+  std::optional<SimNext> advance(double now, double mail_us, bool& improved) {
+    const auto iter = core.iterate(now + mail_us);
+    if (!iter.progressed) {
+      finish_time = iter.end_time;
+      return std::nullopt;
+    }
+    improved = iter.archive_improved;
+    return SimNext{0.0, now + (iter.end_time - now) * contention};
+  }
+
+  AsyncSimCore core;
+  double contention;
+};
+
+}  // namespace
 
 MultisearchResult run_sim_multisearch(const Instance& inst,
                                       const TsmoParams& params,
@@ -416,109 +510,15 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
   if (params.telemetry) telemetry::set_enabled(true);
   TSMO_SPAN("run.sim-coll");
   const int procs = std::max(2, processors);
-  const auto n = static_cast<std::size_t>(procs);
-  const double contention = cost.contention_factor(procs);
-
-  struct CollSearcher {
-    std::unique_ptr<SearchState> state;
-    TsmoParams params;
-    std::vector<int> comm;
-    std::vector<Solution> mailbox;
-    bool initial_phase = true;
-    double finish_time = 0.0;
-    std::int64_t sent = 0;
-  };
-  std::vector<CollSearcher> searchers(n);
-  std::int64_t messages_sent = 0, messages_accepted = 0;
-
+  const auto cands = make_candidate_list(inst, params.candidate_k);
+  std::vector<std::unique_ptr<SimSearcher>> searchers;
   for (int id = 0; id < procs; ++id) {
-    auto& s = searchers[static_cast<std::size_t>(id)];
-    Rng rng(params.seed + static_cast<std::uint64_t>(id) * 0x51ed2701ULL);
-    s.params = id == 0 ? params : params.perturbed(rng);
-    s.params.max_evaluations = params.max_evaluations;
-    s.params.seed = rng.next();
-    s.state =
-        std::make_unique<SearchState>(inst, s.params, Rng(s.params.seed));
-    s.state->initialize();
-    for (int k = 0; k < procs; ++k) {
-      if (k != id) s.comm.push_back(k);
-    }
-    for (std::size_t k = s.comm.size(); k > 1; --k) {
-      std::swap(s.comm[k - 1], s.comm[rng.below(k)]);
-    }
+    searchers.push_back(
+        std::make_unique<SimSearcher>(inst, params, id, procs, cost, cands));
   }
-
-  Simulation sim;
-  // One self-rescheduling "iteration" event per searcher.
-  std::function<void(int)> do_step = [&](int id) {
-    auto& s = searchers[static_cast<std::size_t>(id)];
-    if (s.state->budget_exhausted()) {
-      s.finish_time = sim.now();
-      return;
-    }
-    double dt = 0.0;
-    for (Solution& incoming : s.mailbox) {
-      dt += cost.msg_us;  // reception handling
-      if (s.state->receive(incoming)) ++messages_accepted;
-    }
-    s.mailbox.clear();
-
-    const std::int64_t remaining =
-        s.params.max_evaluations - s.state->evaluations();
-    const int want = static_cast<int>(std::min<std::int64_t>(
-        s.params.neighborhood_size, remaining));
-    if (want <= 0) {
-      s.finish_time = sim.now();
-      return;
-    }
-    const auto candidates = s.state->generate_candidates(want);
-    const auto outcome = s.state->step_with_candidates(candidates);
-    dt += static_cast<double>(candidates.size()) * cost.eval_us;
-    dt += selection_cost(candidates.size(), cost);
-    dt *= contention;
-
-    if (s.initial_phase && s.state->iterations_since_improvement() >=
-                               s.params.restart_after) {
-      s.initial_phase = false;
-    }
-    if (!s.initial_phase && outcome.archive_improved && !s.comm.empty()) {
-      const int target = s.comm.front();
-      std::rotate(s.comm.begin(), s.comm.begin() + 1, s.comm.end());
-      dt += cost.msg_us + cost.transfer_solution_us;
-      ++messages_sent;
-      Solution payload = *s.state->current();
-      sim.schedule_after(dt + cost.msg_us,
-                         [&, target, payload = std::move(payload)] {
-                           searchers[static_cast<std::size_t>(target)]
-                               .mailbox.push_back(payload);
-                         });
-    }
-    sim.schedule_after(dt, [&, id] { do_step(id); });
-  };
-
-  const double init_cost = cost.eval_us * contention;
-  for (int id = 0; id < procs; ++id) {
-    sim.schedule_at(init_cost, [&, id] { do_step(id); });
-  }
-  sim.run();
-
-  MultisearchResult result;
-  result.per_searcher.reserve(n);
-  for (auto& s : searchers) {
-    RunResult r = collect_result(*s.state, "sim-coll", 0.0);
-    r.sim_seconds = s.finish_time * 1e-6;
-    r.refresh_throughput();
-    result.per_searcher.push_back(std::move(r));
-  }
-  result.merged = merge_results(result.per_searcher, "sim-coll");
-  result.messages_sent = messages_sent;
-  result.messages_accepted = messages_accepted;
-  return result;
+  return run_sim_collab("sim-coll", searchers,
+                        cost.eval_us * cost.contention_factor(procs), cost);
 }
-
-// ---------------------------------------------------------------------------
-// Hybrid (future work §V): collaborating asynchronous islands
-// ---------------------------------------------------------------------------
 
 MultisearchResult run_sim_hybrid(const Instance& inst,
                                  const TsmoParams& params, int islands,
@@ -527,95 +527,14 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
   if (params.telemetry) telemetry::set_enabled(true);
   TSMO_SPAN("run.sim-hybrid");
   const int k = std::max(2, islands);
-  const auto n = static_cast<std::size_t>(k);
-  const double contention = cost.contention_factor(k);
-
-  struct Island {
-    std::unique_ptr<AsyncSimCore> core;
-    TsmoParams params;
-    std::vector<int> comm;
-    std::vector<Solution> mailbox;
-    bool initial_phase = true;
-    double finish_time = 0.0;
-  };
-  std::vector<Island> nodes(n);
-  std::int64_t messages_sent = 0, messages_accepted = 0;
-
+  // candidate_k is never perturbed, so every island shares one list.
+  const auto cands = make_candidate_list(inst, params.candidate_k);
+  std::vector<std::unique_ptr<SimIsland>> nodes;
   for (int id = 0; id < k; ++id) {
-    auto& isl = nodes[static_cast<std::size_t>(id)];
-    Rng rng(params.seed + static_cast<std::uint64_t>(id) * 0x9d2c5680ULL);
-    isl.params = id == 0 ? params : params.perturbed(rng);
-    isl.params.max_evaluations = params.max_evaluations;
-    isl.params.seed = rng.next();
-    isl.core = std::make_unique<AsyncSimCore>(
-        inst, isl.params, procs_per_island, cost, SimAsyncOptions{});
-    for (int j = 0; j < k; ++j) {
-      if (j != id) isl.comm.push_back(j);
-    }
-    for (std::size_t j = isl.comm.size(); j > 1; --j) {
-      std::swap(isl.comm[j - 1], isl.comm[rng.below(j)]);
-    }
+    nodes.push_back(std::make_unique<SimIsland>(
+        inst, params, id, k, procs_per_island, cost, cands));
   }
-
-  Simulation sim;
-  std::function<void(int)> do_step = [&](int id) {
-    auto& isl = nodes[static_cast<std::size_t>(id)];
-    if (isl.core->done()) {
-      isl.finish_time = sim.now();
-      return;
-    }
-    double extra = 0.0;
-    for (Solution& incoming : isl.mailbox) {
-      extra += cost.msg_us;
-      if (isl.core->state().receive(incoming)) ++messages_accepted;
-    }
-    isl.mailbox.clear();
-
-    const auto iter = isl.core->iterate(sim.now() + extra);
-    if (!iter.progressed) {
-      isl.finish_time = iter.end_time;
-      return;
-    }
-    double end = sim.now() + (iter.end_time - sim.now()) * contention;
-
-    if (isl.initial_phase &&
-        isl.core->state().iterations_since_improvement() >=
-            isl.params.restart_after) {
-      isl.initial_phase = false;
-    }
-    if (!isl.initial_phase && iter.archive_improved && !isl.comm.empty()) {
-      const int target = isl.comm.front();
-      std::rotate(isl.comm.begin(), isl.comm.begin() + 1, isl.comm.end());
-      end += cost.msg_us + cost.transfer_solution_us;
-      ++messages_sent;
-      Solution payload = *isl.core->state().current();
-      sim.schedule_at(end + cost.msg_us,
-                      [&, target, payload = std::move(payload)] {
-                        nodes[static_cast<std::size_t>(target)]
-                            .mailbox.push_back(payload);
-                      });
-    }
-    sim.schedule_at(end, [&, id] { do_step(id); });
-  };
-
-  for (int id = 0; id < k; ++id) {
-    sim.schedule_at(cost.eval_us, [&, id] { do_step(id); });
-  }
-  sim.run();
-
-  MultisearchResult result;
-  result.per_searcher.reserve(n);
-  for (auto& isl : nodes) {
-    isl.core->export_worker_gauges(isl.finish_time);
-    RunResult r = collect_result(isl.core->state(), "sim-hybrid", 0.0);
-    r.sim_seconds = isl.finish_time * 1e-6;
-    r.refresh_throughput();
-    result.per_searcher.push_back(std::move(r));
-  }
-  result.merged = merge_results(result.per_searcher, "sim-hybrid");
-  result.messages_sent = messages_sent;
-  result.messages_accepted = messages_accepted;
-  return result;
+  return run_sim_collab("sim-hybrid", nodes, cost.eval_us, cost);
 }
 
 }  // namespace tsmo

@@ -9,11 +9,21 @@
 #include <thread>
 
 #include "construct/i1_insertion.hpp"
+#include "parallel/async_tsmo.hpp"
+#include "parallel/hybrid_tsmo.hpp"
+#include "parallel/sync_tsmo.hpp"
+#include "sim/sim_tsmo.hpp"
 #include "util/rng.hpp"
 #include "vrptw/generator.hpp"
 
 namespace tsmo {
 namespace {
+
+TsmoParams seeded(std::uint64_t seed) {
+  TsmoParams p;
+  p.seed = seed;
+  return p;
+}
 
 class WorkerTeamTest : public ::testing::Test {
  protected:
@@ -29,7 +39,7 @@ class WorkerTeamTest : public ::testing::Test {
 };
 
 TEST_F(WorkerTeamTest, RoundTripsOneRequest) {
-  WorkerTeam team(inst_, 2, 7);
+  WorkerTeam team(inst_, 2, seeded(7));
   team.submit(GenRequest{base(), 25, 99});
   const auto result = team.collect();
   ASSERT_TRUE(result.has_value());
@@ -40,7 +50,7 @@ TEST_F(WorkerTeamTest, RoundTripsOneRequest) {
 }
 
 TEST_F(WorkerTeamTest, AllRequestsAnswered) {
-  WorkerTeam team(inst_, 3, 7);
+  WorkerTeam team(inst_, 3, seeded(7));
   const auto b = base();
   std::set<std::uint64_t> tickets;
   for (std::uint64_t t = 1; t <= 12; ++t) {
@@ -58,7 +68,7 @@ TEST_F(WorkerTeamTest, AllRequestsAnswered) {
 }
 
 TEST_F(WorkerTeamTest, CandidatesAreValidAgainstBase) {
-  WorkerTeam team(inst_, 2, 7);
+  WorkerTeam team(inst_, 2, seeded(7));
   const auto b = base();
   team.submit(GenRequest{b, 30, 1});
   const auto result = team.collect();
@@ -72,8 +82,27 @@ TEST_F(WorkerTeamTest, CandidatesAreValidAgainstBase) {
   }
 }
 
+TEST_F(WorkerTeamTest, WorkersApplyTheSearchersScreen) {
+  TsmoParams p = seeded(7);
+  p.feasibility_screen = FeasibilityScreen::Exact;
+  WorkerTeam team(inst_, 2, p);
+  const auto b = base();
+  for (std::uint64_t t = 1; t <= 4; ++t) {
+    team.submit(GenRequest{b, 30, t, /*seed=*/t, /*seeded=*/t % 2 == 0});
+  }
+  MoveEngine engine(inst_);
+  std::size_t checked = 0;
+  for (const GenResult& r : team.collect_in_order(4)) {
+    for (const Candidate& c : r.candidates) {
+      EXPECT_TRUE(engine.exact_feasible(*b, c.move));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 TEST_F(WorkerTeamTest, TryCollectNonBlocking) {
-  WorkerTeam team(inst_, 1, 7);
+  WorkerTeam team(inst_, 1, seeded(7));
   EXPECT_FALSE(team.try_collect().has_value());
   team.submit(GenRequest{base(), 5, 1});
   // Eventually the result must appear.
@@ -87,7 +116,7 @@ TEST_F(WorkerTeamTest, TryCollectNonBlocking) {
 TEST_F(WorkerTeamTest, CleanShutdownWithPendingRequests) {
   const auto b = base();
   {
-    WorkerTeam team(inst_, 2, 7);
+    WorkerTeam team(inst_, 2, seeded(7));
     for (int i = 0; i < 20; ++i) team.submit(GenRequest{b, 50, 1});
     // Destructor must join without deadlock even with work outstanding.
   }
@@ -95,7 +124,7 @@ TEST_F(WorkerTeamTest, CleanShutdownWithPendingRequests) {
 }
 
 TEST_F(WorkerTeamTest, AtLeastOneWorker) {
-  WorkerTeam team(inst_, 0, 7);
+  WorkerTeam team(inst_, 0, seeded(7));
   EXPECT_EQ(team.num_workers(), 1);
 }
 
@@ -105,7 +134,7 @@ TEST_F(WorkerTeamTest, SeededRequestsIndependentOfTeamSize) {
   // the primitive the deterministic engine modes are built on.
   const auto b = base();
   auto run_with = [&](int workers) {
-    WorkerTeam team(inst_, workers, /*seed=*/1234 + workers);
+    WorkerTeam team(inst_, workers, seeded(1234 + workers));
     std::vector<GenResult> results;
     for (std::uint64_t t = 1; t <= 6; ++t) {
       team.submit(GenRequest{b, 15, t, 0xabc0ffee00ULL + t, true});
@@ -141,7 +170,8 @@ TEST_F(WorkerTeamTest, ChurnConcurrentSubmittersShutdownMidFlight) {
     std::atomic<int> submitted{0};
     int collected = 0;
     {
-      WorkerTeam team(inst_, 3, static_cast<std::uint64_t>(7 + round));
+      WorkerTeam team(inst_, 3,
+                      seeded(static_cast<std::uint64_t>(7 + round)));
       std::vector<std::thread> submitters;
       for (int s = 0; s < 2; ++s) {
         submitters.emplace_back([&, s] {
@@ -166,6 +196,94 @@ TEST_F(WorkerTeamTest, ChurnConcurrentSubmittersShutdownMidFlight) {
     EXPECT_EQ(submitted.load(), 20);
     EXPECT_LE(collected, 20);
   }
+}
+
+// Master-worker generation must honor the run's feasibility screen and
+// operator weights: in deterministic mode the workers produce the whole
+// neighborhood, so a generator built with fixed defaults would silently
+// ignore both knobs.
+class WorkerTeamGeneratorTest : public ::testing::Test {
+ protected:
+  WorkerTeamGeneratorTest() : inst_(generate_named("R1_1_1")) {}
+
+  TsmoParams params() const {
+    TsmoParams p;
+    p.max_evaluations = 1500;
+    p.neighborhood_size = 40;
+    p.restart_after = 15;
+    p.trace = true;
+    p.seed = 3;
+    return p;
+  }
+
+  static SyncOptions sync_det() {
+    SyncOptions o;
+    o.deterministic = true;
+    return o;
+  }
+  static AsyncOptions async_det() {
+    AsyncOptions o;
+    o.deterministic = true;
+    return o;
+  }
+  static HybridOptions hybrid_det() {
+    HybridOptions o;
+    o.deterministic = true;
+    return o;
+  }
+
+  Instance inst_;
+};
+
+TEST_F(WorkerTeamGeneratorTest, ScreenChangesDeterministicTrajectories) {
+  TsmoParams local = params();
+  TsmoParams exact = local;
+  exact.feasibility_screen = FeasibilityScreen::Exact;
+  EXPECT_NE(SyncTsmo(inst_, local, 4, sync_det()).run().trace_fingerprint,
+            SyncTsmo(inst_, exact, 4, sync_det()).run().trace_fingerprint);
+  EXPECT_NE(AsyncTsmo(inst_, local, 4, async_det()).run().trace_fingerprint,
+            AsyncTsmo(inst_, exact, 4, async_det()).run().trace_fingerprint);
+  EXPECT_NE(
+      HybridTsmo(inst_, local, 2, 2, hybrid_det()).run().merged
+          .trace_fingerprint,
+      HybridTsmo(inst_, exact, 2, 2, hybrid_det()).run().merged
+          .trace_fingerprint);
+}
+
+TEST_F(WorkerTeamGeneratorTest, ExactScreenKeepsDeterministicFrontsFeasible) {
+  TsmoParams exact = params();
+  exact.feasibility_screen = FeasibilityScreen::Exact;
+  const auto all_feasible = [](const RunResult& r) {
+    return !r.front.empty() &&
+           std::all_of(r.front.begin(), r.front.end(),
+                       [](const Objectives& o) { return o.tardiness == 0.0; });
+  };
+  EXPECT_TRUE(all_feasible(SyncTsmo(inst_, exact, 4, sync_det()).run()));
+  EXPECT_TRUE(all_feasible(AsyncTsmo(inst_, exact, 4, async_det()).run()));
+  EXPECT_TRUE(all_feasible(
+      HybridTsmo(inst_, exact, 2, 2, hybrid_det()).run().merged));
+}
+
+TEST_F(WorkerTeamGeneratorTest, OperatorWeightsReachEveryWorker) {
+  TsmoParams relocate_only = params();
+  relocate_only.operator_weights = {1, 0, 0, 0, 0};
+  const auto only_relocate = [](const RunResult& r) {
+    const auto& proposed = r.introspect.proposed;
+    return proposed[0] > 0 &&
+           std::all_of(proposed.begin() + 1, proposed.end(),
+                       [](std::uint64_t n) { return n == 0; });
+  };
+  const CostModel cost = CostModel::for_instance(inst_);
+  EXPECT_TRUE(
+      only_relocate(SyncTsmo(inst_, relocate_only, 4, sync_det()).run()));
+  EXPECT_TRUE(
+      only_relocate(AsyncTsmo(inst_, relocate_only, 4, async_det()).run()));
+  EXPECT_TRUE(only_relocate(
+      HybridTsmo(inst_, relocate_only, 2, 2, hybrid_det()).run().merged));
+  EXPECT_TRUE(only_relocate(run_sim_sync(inst_, relocate_only, 4, cost)));
+  EXPECT_TRUE(only_relocate(run_sim_async(inst_, relocate_only, 4, cost)));
+  EXPECT_TRUE(
+      only_relocate(run_sim_hybrid(inst_, relocate_only, 2, 2, cost).merged));
 }
 
 }  // namespace
