@@ -18,6 +18,7 @@
 #include "parallel/async_tsmo.hpp"
 #include "parallel/hybrid_tsmo.hpp"
 #include "parallel/multisearch_tsmo.hpp"
+#include "parallel/run_scope.hpp"
 #include "parallel/sync_tsmo.hpp"
 #include "util/progress.hpp"
 #include "util/rng.hpp"
@@ -427,6 +428,36 @@ TEST(Watchdog, RecorderRoutesStallsToActionAndEventStream) {
   std::ostringstream os;
   rec.write_jsonl(os);
   EXPECT_NE(os.str().find("\"event\":\"stall\""), std::string::npos);
+}
+
+/// The engines' opt-in stall reaction: a RunScope with stall restart
+/// enabled routes the watchdog's verdict for a searcher to the attached
+/// SearchState with that trace id, whose next step then restarts.
+TEST(Watchdog, RunScopeRoutesStallVerdictsToTheAttachedSearcher) {
+  const Instance inst = tiny_instance();
+  ConvergenceConfig cc = test_config(inst);
+  cc.stall_threshold_ms = 10.0;
+  cc.stall_check_interval_ms = 2.0;
+  ConvergenceRecorder rec(cc);
+  RunScope scope("async", "run.async", tiny_params(), &rec, nullptr);
+  scope.enable_stall_restart(2);
+
+  SearchState state(inst, tiny_params(), Rng(1));
+  state.set_trace_id(1);
+  scope.attach(state);
+  state.initialize();
+  state.step_with_candidates(state.generate_candidates(10));  // one beat
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rec.stalls_flagged() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(rec.stalls_flagged(), 1);
+  EXPECT_TRUE(
+      state.step_with_candidates(state.generate_candidates(10)).restarted);
+  scope.finish(state);  // clears the stall action before `state` dies
 }
 
 TEST(Watchdog, StallRestartRoutesThroughDiversification) {
