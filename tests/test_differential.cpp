@@ -17,6 +17,13 @@ struct Case {
   std::uint64_t seed;
 };
 
+// Without a printer gtest lists a Case as its raw bytes, address of the
+// instance literal included, so the listed test name would change with
+// the load address from one test discovery to the next.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.instance << " seed " << c.seed;
+}
+
 class Differential : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Differential, SimSequentialEqualsDirect) {
